@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-json race fuzz-smoke bench-smoke bench-accum bench-sched chaos-smoke delta-replay all
+.PHONY: build test lint lint-json race fuzz-smoke bench-smoke bench-selftest bench-accum bench-sched chaos-smoke delta-replay all
 
 all: build lint test
 
@@ -32,6 +32,11 @@ fuzz-smoke:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench='Sched|AsalintRepo' -benchtime=1x ./...
+
+# bench-selftest runs the wall-clock benchmark's own test suite. perfbench/
+# is a separate Go module, so the root `go test ./...` never reaches it.
+bench-selftest:
+	$(GO) -C perfbench test ./...
 
 # bench-accum regenerates the accumulator backend sweep at quick scale and
 # verifies the committed BENCH_accum.json still matches the schema and the

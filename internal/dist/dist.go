@@ -29,7 +29,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/asamap/asamap/internal/fault"
 	"github.com/asamap/asamap/internal/graph"
@@ -182,6 +181,13 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 	leafNodeTerm := leafState.NodeTerm()
 	res.OneLevelCodelength = mapeq.OneLevelCodelength(baseFlow)
 
+	// Every rank's sweep runs the shared-memory engine's FindBestCommunity
+	// on the Baseline (softhash) backend. Ranks are simulated one after the
+	// other, so one evaluator serves them all.
+	mv, err := infomap.NewMover(infomap.DefaultOptions(), g.MaxDegree())
+	if err != nil {
+		return nil, err
+	}
 	r := rng.New(opt.Seed)
 	// Crash downtime is tracked in global supersteps so a rank can stay down
 	// across a level boundary.
@@ -205,7 +211,7 @@ func RunContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, erro
 		}
 		res.Levels++
 		moves, err := optimizeLevelDistributed(ctx, flow, membership, leafNodeTerm,
-			opt, r, &res.Comm, injector, downUntil)
+			opt, mv, r, &res.Comm, injector, downUntil)
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +402,7 @@ func (c *cluster) down(rk, gs int) bool {
 // authoritative state at the superstep boundary and broadcast through the
 // simulated network.
 func optimizeLevelDistributed(ctx context.Context, flow *mapeq.Flow, membership []uint32,
-	leafNodeTerm float64, opt Options, r *rng.RNG, comm *CommStats,
+	leafNodeTerm float64, opt Options, mv *infomap.Mover, r *rng.RNG, comm *CommStats,
 	inj *fault.Injector, downUntil []int) (uint64, error) {
 
 	n := flow.G.N()
@@ -505,7 +511,7 @@ func optimizeLevelDistributed(ctx context.Context, flow *mapeq.Flow, membership 
 			order := append([]uint32(nil), blocks[rk]...)
 			r.ShuffleUint32(order)
 			for _, v := range order {
-				if t, ok := bestMove(flow, rankState, int(v)); ok {
+				if t, d, ok := mv.Best(rankState, flow, int(v)); ok && d < -infomap.MoveEpsilon {
 					proposals[rk] = append(proposals[rk], proposal{v: v, target: t})
 				}
 			}
@@ -524,7 +530,7 @@ func optimizeLevelDistributed(ctx context.Context, flow *mapeq.Flow, membership 
 				if old == p.target {
 					continue
 				}
-				oo, io, on, in := commitFlowsLocal(flow, truth, v, old, p.target)
+				oo, io, on, in := infomap.CommitFlows(flow, truth, v, old, p.target)
 				view := flow.View(v)
 				if d := truth.DeltaMove(view, p.target, oo, io, on, in); d < 0 {
 					truth.Apply(view, p.target, oo, io, on, in)
@@ -592,95 +598,6 @@ func (c *cluster) allLive(gs int) bool {
 		}
 	}
 	return true
-}
-
-// bestMove evaluates one vertex against the rank's state snapshot and
-// returns the best target module, if improving.
-func bestMove(flow *mapeq.Flow, st *mapeq.State, v int) (uint32, bool) {
-	g := flow.G
-	old := st.Module(v)
-	outW := map[uint32]float64{}
-	inW := map[uint32]float64{}
-	var keys []uint32
-	lo, _ := g.OutRange(v)
-	nb := g.OutNeighbors(v)
-	for j := range nb {
-		t := int(nb[j])
-		if t == v {
-			continue
-		}
-		m := st.Module(t)
-		if _, ok := outW[m]; !ok {
-			keys = append(keys, m)
-		}
-		outW[m] += flow.OutFlow[lo+j]
-	}
-	ilo, _ := g.InRange(v)
-	in := g.InNeighbors(v)
-	for j := range in {
-		s := int(in[j])
-		if s == v {
-			continue
-		}
-		m := st.Module(s)
-		if _, ok := outW[m]; !ok {
-			if _, ok2 := inW[m]; !ok2 {
-				keys = append(keys, m)
-			}
-		}
-		inW[m] += flow.InFlow[ilo+j]
-	}
-	if len(keys) == 0 {
-		return old, false
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	view := flow.View(v)
-	best, bestDelta := old, 0.0
-	for _, m := range keys {
-		if m == old {
-			continue
-		}
-		d := st.DeltaMove(view, m, outW[old], inW[old], outW[m], inW[m])
-		if d < bestDelta-1e-15 {
-			best, bestDelta = m, d
-		}
-	}
-	return best, best != old
-}
-
-// commitFlowsLocal recomputes the four commit flows against the true state
-// (same role as the shared-memory engine's commit re-check).
-func commitFlowsLocal(flow *mapeq.Flow, st *mapeq.State, v int, old, target uint32) (oo, io, on, in float64) {
-	g := flow.G
-	lo, _ := g.OutRange(v)
-	nb := g.OutNeighbors(v)
-	for j := range nb {
-		t := int(nb[j])
-		if t == v {
-			continue
-		}
-		switch st.Module(t) {
-		case old:
-			oo += flow.OutFlow[lo+j]
-		case target:
-			on += flow.OutFlow[lo+j]
-		}
-	}
-	ilo, _ := g.InRange(v)
-	inn := g.InNeighbors(v)
-	for j := range inn {
-		s := int(inn[j])
-		if s == v {
-			continue
-		}
-		switch st.Module(s) {
-		case old:
-			io += flow.InFlow[ilo+j]
-		case target:
-			in += flow.InFlow[ilo+j]
-		}
-	}
-	return
 }
 
 // Compare runs the shared-memory engine on the same graph for quality

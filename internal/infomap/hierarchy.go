@@ -79,7 +79,8 @@ func RunHierarchical(g *graph.Graph, opt Options) (*HierResult, error) {
 }
 
 // RunHierarchicalContext is RunHierarchical under a context; the flat run
-// and PageRank observe cancellation at their usual boundaries.
+// and PageRank observe cancellation at their usual boundaries, and the split
+// and super-level phases once per submodule sweep.
 func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*HierResult, error) {
 	if opt.Workers == 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
@@ -141,15 +142,20 @@ func RunHierarchicalContext(ctx context.Context, g *graph.Graph, opt Options) (*
 		}
 		root.Children = append(root.Children, child)
 	}
+	// One evaluator serves every submodule and super-level sweep.
+	mv, err := NewMover(opt, g.MaxDegree())
+	if err != nil {
+		return nil, err
+	}
 	// Try to split each top module recursively (fine structure below)...
 	for _, child := range root.Children {
-		if err := splitRecursively(flow, child, opt, r, opt.MaxLevels); err != nil {
+		if err := splitRecursively(ctx, flow, child, opt, mv, r, opt.MaxLevels); err != nil {
 			return nil, err
 		}
 	}
 	// ...and to agglomerate top modules under super modules (coarse
 	// structure above), while either direction shortens the code.
-	if err := addSuperLevels(flow, root, mem, opt, r); err != nil {
+	if err := addSuperLevels(ctx, flow, root, mem, opt, mv, r); err != nil {
 		return nil, err
 	}
 
@@ -170,7 +176,7 @@ func countModules(n *HierNode) int {
 
 // splitRecursively attempts to split a leaf module into submodules and, when
 // accepted, recurses into the new children.
-func splitRecursively(flow *mapeq.Flow, node *HierNode, opt Options, r *rng.RNG, depthBudget int) error {
+func splitRecursively(ctx context.Context, flow *mapeq.Flow, node *HierNode, opt Options, mv *Mover, r *rng.RNG, depthBudget int) error {
 	if depthBudget <= 0 || !node.IsLeaf() || len(node.Vertices) < 4 {
 		return nil
 	}
@@ -178,7 +184,7 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, opt Options, r *rng.RNG,
 	if err != nil {
 		return err
 	}
-	membership, innerState, err := optimizeSubmodule(sf, node.Exit, opt, r)
+	membership, innerState, err := optimizeSubmodule(ctx, sf, node.Exit, opt, mv, r)
 	if err != nil {
 		return err
 	}
@@ -211,7 +217,7 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, opt Options, r *rng.RNG,
 	node.Children = children
 	node.Vertices = nil
 	for _, c := range children {
-		if err := splitRecursively(flow, c, opt, r, depthBudget-1); err != nil {
+		if err := splitRecursively(ctx, flow, c, opt, mv, r, depthBudget-1); err != nil {
 			return err
 		}
 	}
@@ -229,7 +235,7 @@ func splitRecursively(flow *mapeq.Flow, node *HierNode, opt Options, r *rng.RNG,
 // three-level map equation. A grouping is accepted when that beats the
 // current root index codebook, and the procedure repeats on the new top
 // level until no further coarsening pays.
-func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, opt Options, r *rng.RNG) error {
+func addSuperLevels(ctx context.Context, flow *mapeq.Flow, root *HierNode, topMembership []uint32, opt Options, mv *Mover, r *rng.RNG) error {
 	mem := append([]uint32(nil), topMembership...)
 	curFlow := flow
 	for level := 0; level < 10; level++ {
@@ -245,7 +251,7 @@ func addSuperLevels(flow *mapeq.Flow, root *HierNode, topMembership []uint32, op
 		for i, c := range root.Children {
 			cf.NodeFlow[i] = c.Exit
 		}
-		grouping, st, err := optimizeSubmodule(cf, 0, opt, r)
+		grouping, st, err := optimizeSubmodule(ctx, cf, 0, opt, mv, r)
 		if err != nil {
 			return err
 		}
@@ -377,9 +383,11 @@ func subFlow(f *mapeq.Flow, members []int) (*mapeq.Flow, error) {
 
 // optimizeSubmodule greedily partitions a module's members by the map
 // equation with the module's exit rate as a constant index-codebook offset.
-// It is a compact sequential multi-level optimizer (submodules are small, so
-// the parallel machinery and instrumented accumulators are unnecessary).
-func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, opt Options, r *rng.RNG) ([]uint32, *mapeq.State, error) {
+// Each sequential sweep evaluates every vertex with mv — the flat engine's
+// FindBestCommunity on opt.Kind's accumulator backend, with its tie rule —
+// and applies a move at once when ΔL < −MoveEpsilon. Cancellation is
+// checked once per sweep.
+func optimizeSubmodule(ctx context.Context, sf *mapeq.Flow, exitOffset float64, opt Options, mv *Mover, r *rng.RNG) ([]uint32, *mapeq.State, error) {
 	n := sf.G.N()
 	membership := make([]uint32, n)
 	for i := range membership {
@@ -392,51 +400,19 @@ func optimizeSubmodule(sf *mapeq.Flow, exitOffset float64, opt Options, r *rng.R
 	st.SetExitOffset(exitOffset)
 
 	order := r.Perm(n)
-	outW := map[uint32]float64{}
-	inW := map[uint32]float64{}
-	var keys []uint32
 	for sweep := 0; sweep < opt.MaxSweeps; sweep++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		moves := 0
 		for _, v := range order {
-			old := st.Module(v)
-			clear(outW)
-			clear(inW)
-			keys = keys[:0]
-			collect := func(nbs []uint32, flows []float64, lo int, into map[uint32]float64) {
-				for j := range nbs {
-					t := int(nbs[j])
-					if t == v {
-						continue
-					}
-					m := st.Module(t)
-					if _, seen := outW[m]; !seen {
-						if _, seen2 := inW[m]; !seen2 {
-							keys = append(keys, m)
-						}
-					}
-					into[m] += flows[lo+j]
-				}
+			target, d, ok := mv.Best(st, sf, v)
+			if !ok || d >= -MoveEpsilon {
+				continue
 			}
-			lo, _ := sf.G.OutRange(v)
-			collect(sf.G.OutNeighbors(v), sf.OutFlow, lo, outW)
-			ilo, _ := sf.G.InRange(v)
-			collect(sf.G.InNeighbors(v), sf.InFlow, ilo, inW)
-
-			view := sf.View(v)
-			best, bestDelta := old, 0.0
-			for _, m := range keys {
-				if m == old {
-					continue
-				}
-				d := st.DeltaMove(view, m, outW[old], inW[old], outW[m], inW[m])
-				if d < bestDelta-1e-15 {
-					best, bestDelta = m, d
-				}
-			}
-			if best != old {
-				st.Apply(view, best, outW[old], inW[old], outW[best], inW[best])
-				moves++
-			}
+			oo, io, on, in := CommitFlows(sf, st, v, st.Module(v), target)
+			st.Apply(sf.View(v), target, oo, io, on, in)
+			moves++
 		}
 		if moves == 0 {
 			break

@@ -352,3 +352,56 @@ func TestWriteTreeFormat(t *testing.T) {
 		t.Fatalf("tree covers %d of %d vertices", len(seen), g.N())
 	}
 }
+
+// TestHierarchyBackendInvariant: submodule and super-level sweeps run on
+// opt.Kind's accumulator, and every exact backend computes the same sums, so
+// the tree and its codelength must be byte-identical across Baseline,
+// HashGraph and GoMap — on the depth-3 nested graph and on the committed
+// LFR golden graph.
+func TestHierarchyBackendInvariant(t *testing.T) {
+	nested, _, _ := nestedGraph(t, 4, 3, 6)
+	lfr, labels, err := graph.ReadEdgeListFile("../../testdata/golden/lfr_small.txt", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		labels []uint64
+	}{
+		{"nested", nested, nil},
+		{"lfr_small", lfr, labels},
+	} {
+		f, err := mapeq.NewUndirectedFlow(tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref string
+		var refL float64
+		for _, kind := range []AccumKind{Baseline, HashGraph, GoMap} {
+			opt := DefaultOptions()
+			opt.Kind = kind
+			res, err := RunHierarchical(tc.g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "nested" && res.Depth < 3 {
+				t.Fatalf("%s/%v: depth %d, want >= 3", tc.name, kind, res.Depth)
+			}
+			var sb strings.Builder
+			if err := res.WriteTree(&sb, f.NodeFlow, tc.labels); err != nil {
+				t.Fatal(err)
+			}
+			if kind == Baseline {
+				ref, refL = sb.String(), res.Codelength
+				continue
+			}
+			if math.Float64bits(res.Codelength) != math.Float64bits(refL) {
+				t.Fatalf("%s/%v: codelength %.17g != baseline %.17g", tc.name, kind, res.Codelength, refL)
+			}
+			if sb.String() != ref {
+				t.Fatalf("%s/%v: tree differs from baseline", tc.name, kind)
+			}
+		}
+	}
+}

@@ -514,7 +514,7 @@ func optimizeLevel(ctx context.Context, st *mapeq.State, flow *mapeq.Flow, worke
 				// re-evaluate ΔL; committing only exact improvements makes
 				// the codelength strictly decreasing and immune to the
 				// oscillations synchronous parallel updates are prone to.
-				oo, io, on, in := commitFlows(flow, st, v, old, p.target)
+				oo, io, on, in := CommitFlows(flow, st, v, old, p.target)
 				view := flow.View(v)
 				if d := st.DeltaMove(view, p.target, oo, io, on, in); d < 0 {
 					st.Apply(view, p.target, oo, io, on, in)
@@ -624,9 +624,11 @@ func liveTotals(workers []*worker) (accum.Stats, perf.KernelWork) {
 	return st, wk
 }
 
-// commitFlows recomputes vertex v's accumulated arc flow to/from its current
-// module and the proposed target module against the present membership.
-func commitFlows(f *mapeq.Flow, st *mapeq.State, v int, old, target uint32) (outOld, inOld, outNew, inNew float64) {
+// CommitFlows recomputes vertex v's accumulated arc flow to/from its current
+// module and the proposed target module against the present membership —
+// the four flows State.DeltaMove and State.Apply take. Every driver's commit
+// step (flat, hierarchical and distributed) uses it.
+func CommitFlows(f *mapeq.Flow, st *mapeq.State, v int, old, target uint32) (outOld, inOld, outNew, inNew float64) {
 	g := f.G
 	lo, _ := g.OutRange(v)
 	nb := g.OutNeighbors(v)

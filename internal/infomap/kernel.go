@@ -125,11 +125,48 @@ func (w *worker) findBestCommunity(st *mapeq.State, f *mapeq.Flow, v int) (propo
 	return w.candidatesLookup(st, view, old)
 }
 
+// MoveEpsilon is the ΔL margin the hierarchical and distributed sweeps
+// require before they accept a move (ΔL < −MoveEpsilon). The flat engine
+// commits on ΔL < 0 because its sweep loop stops once the codelength gain
+// falls below MinImprovement; the submodule optimizer has no such stop and
+// would otherwise oscillate on moves whose gain is pure rounding.
+const MoveEpsilon = 1e-15
+
+// Mover is a single-goroutine FindBestCommunity evaluator for drivers that
+// run their own sweep loop: the hierarchical submodule and super-level
+// optimizer and the distributed per-rank sweep. It wraps one worker, so
+// those drivers run the flat engine's accumulator backend, candidate scan
+// and tie rule.
+type Mover struct{ w *worker }
+
+// NewMover returns an evaluator on opt's accumulator backend (opt.Kind, and
+// opt.ASAConfig for ASA), sized for sessions of about hint distinct modules
+// — typically the graph's max degree.
+func NewMover(opt Options, hint int) (*Mover, error) {
+	w, err := newWorker(0, opt, hint)
+	if err != nil {
+		return nil, err
+	}
+	return &Mover{w: w}, nil
+}
+
+// Best evaluates vertex v against st exactly as a flat sweep does. target is
+// the module with the most negative ΔL (exact ties go to the smaller module
+// ID); ok reports whether target differs from v's module and ΔL < 0.
+//
+//asalint:hotroot per-vertex move evaluation of the hierarchical and distributed sweeps
+func (m *Mover) Best(st *mapeq.State, f *mapeq.Flow, v int) (target uint32, dL float64, ok bool) {
+	p, ok := m.w.findBestCommunity(st, f, v)
+	return p.target, p.delta, ok
+}
+
 // better reports whether candidate module m with ΔL d improves on best. The
 // ΔL tie-break on the smaller module ID matters for determinism: the hash
 // table's Gather order depends on its capacity history, which varies with
 // which worker's table processed the vertex, so exact-ΔL ties would
 // otherwise resolve differently across worker counts and steal schedules.
+// It is the only candidate-selection rule: flat, hierarchical and
+// distributed sweeps all reach it through findBestCommunity.
 func better(best proposal, m uint32, d float64, old uint32) bool {
 	if d < best.delta {
 		return true
